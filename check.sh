@@ -239,8 +239,8 @@ go test -run 'TestCRNMarginalsMatchStandaloneCampaigns' ./internal/experiments/
 # stats accumulators, and the conformance checker pool are the packages
 # that share state across goroutines; run them (plus the repo root,
 # whose integration test drives them together) under the race detector.
-echo "== go test -race (sim/optimize/obs/eventq/stats/service shard)"
-go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/eventq/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ .
+echo "== go test -race (sim/optimize/obs/stats/service shard)"
+go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ .
 # The conformance suite is statistics-heavy; -short keeps the race pass
 # focused on the Pool/Campaign concurrency without the full sweeps.
 echo "== go test -race -short (conformance)"
@@ -249,7 +249,7 @@ go test -race -short ./internal/conformance/
 if [ "${1:-}" = "fuzz" ]; then
     # go test accepts exactly one fuzz target per invocation.
     echo "== go test -fuzz (30s per target)"
-    go test -run XXX -fuzz '^FuzzEventq$' -fuzztime 30s ./internal/eventq/
+    go test -run XXX -fuzz '^FuzzNextEvent$' -fuzztime 30s ./internal/sim/
     go test -run XXX -fuzz '^FuzzEngineScenario$' -fuzztime 30s ./internal/conformance/
     go test -run XXX -fuzz '^FuzzPatternPlan$' -fuzztime 30s ./internal/conformance/
     go test -run XXX -fuzz '^FuzzPlanRequest$' -fuzztime 30s ./internal/service/

@@ -13,7 +13,7 @@
 //     prediction against the simulated confidence band, with
 //     per-technique tolerances pinned as golden files.
 //   - The fuzz targets (FuzzEngineScenario, FuzzPatternPlan in this
-//     package; FuzzEventq in internal/eventq) drive the same machinery
+//     package; FuzzNextEvent in internal/sim) drive the same machinery
 //     over randomly generated systems, plans and seeds.
 //
 // A Checker is pure: it never influences the engine it observes, so a

@@ -234,6 +234,11 @@ func finitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0)
 }
 
+// isFinite rejects NaN and ±Inf.
+func isFinite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
 // resolvePlan validates a PlanRequest and resolves it into a planSpec.
 // All failures are client errors (400).
 func resolvePlan(req PlanRequest) (*planSpec, *apiError) {

@@ -499,6 +499,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 		// refusal (e.g. more levels than the model supports).
 		return writeError(w, apiErrorf(http.StatusUnprocessableEntity, "%v", err))
 	}
+	if !isFinite(pred.ExpectedTime) || !isFinite(pred.Efficiency) {
+		// JSON cannot carry ±Inf or NaN; the model gave no usable number.
+		return writeError(w, apiErrorf(http.StatusUnprocessableEntity,
+			"%s predicts a non-finite result for this plan (expected %v min, efficiency %v)",
+			sp.technique, pred.ExpectedTime, pred.Efficiency))
+	}
 	body, err := marshalBody(PredictResponse{
 		System:    sp.sys.Name,
 		Technique: sp.technique,

@@ -522,6 +522,7 @@ func TestRequestValidation(t *testing.T) {
 		{"spec zero checkpoint", "/v1/plan", `{"system_spec":{"mtbf_minutes":60,"baseline_minutes":100,"levels":[{"checkpoint_minutes":0,"restart_minutes":1,"severity_prob":1}]},"technique":"daly"}`, 400},
 		{"predict missing plan", "/v1/predict", `{"system":"D4","technique":"daly"}`, 400},
 		{"predict invalid plan", "/v1/predict", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":-1,"counts":[],"levels":[1]}}`, 400},
+		{"predict non-finite", "/v1/predict", `{"system":"B","mtbf_minutes":5,"pfs_minutes":40,"technique":"moody","plan":{"tau0_minutes":1000,"counts":[1,1,1],"levels":[1,2,3,4]}}`, 422},
 		{"predict level beyond system", "/v1/predict", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[2],"levels":[1,7]}}`, 400},
 		{"simulate too many trials", "/v1/simulate", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":5000}`, 400},
 		{"simulate negative trials", "/v1/simulate", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":-2}`, 400},

@@ -159,12 +159,15 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 
 	L := pc.Arms[0].System.NumLevels()
 	campaigns := make([]Campaign, len(pc.Arms))
-	results := make([][]TrialResult, len(pc.Arms))
-	failBufs := make([][]int, len(pc.Arms))
+	sinks := make([]*ExactSink, len(pc.Arms))
 	for a := range pc.Arms {
 		campaigns[a] = pc.armCampaign(a)
-		results[a] = make([]TrialResult, pc.Trials)
-		failBufs[a] = make([]int, pc.Trials*L)
+		if pc.TargetCI > 0 {
+			// Every batch boundary must be block-aligned for runBlocks.
+			campaigns[a].Block = gcd(batch, DefaultBlock)
+		}
+		sinks[a] = NewExactSink()
+		sinks[a].Reserve(pc.Trials, L)
 	}
 
 	n := 0
@@ -177,30 +180,30 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 			step = pc.Trials - n
 		}
 		for a := range campaigns {
-			err := campaigns[a].runRange(n, results[a][n:n+step], failBufs[a][n*L:(n+step)*L])
-			if err != nil {
+			if _, err := campaigns[a].runBlocks(sinks[a], n, n+step); err != nil {
 				return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
 			}
 		}
 		n += step
-		if pc.TargetCI > 0 && n >= minTrials && pc.converged(results, n, level) {
+		if pc.TargetCI > 0 && n >= minTrials && pc.converged(sinks, level) {
 			break
 		}
 	}
 
 	out := PairedResult{TrialsRun: n, Budget: pc.Trials, Level: level}
 	out.Arms = make([]CampaignResult, len(pc.Arms))
-	for a := range campaigns {
-		out.Arms[a] = campaigns[a].aggregate(results[a][:n])
+	for a := range sinks {
+		out.Arms[a] = aggregateResults(L, sinks[a].Results())
 	}
 	var controls [][]float64
 	if pc.ControlVariates {
 		controls = make([][]float64, len(pc.Arms))
 		out.ArmCV = make([]stats.CVResult, len(pc.Arms))
 		for a := range pc.Arms {
+			results := sinks[a].Results()
 			controls[a] = make([]float64, n)
-			for i := 0; i < n; i++ {
-				controls[a][i] = failureControl(&results[a][i], pc.Arms[a].System)
+			for i := range results {
+				controls[a][i] = failureControl(&results[i], pc.Arms[a].System)
 			}
 			cv, err := stats.ControlVariate(out.Arms[a].Efficiencies, controls[a])
 			if err != nil {
@@ -240,13 +243,14 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 }
 
 // converged reports whether every pairwise paired CI half-width over the
-// first n trials is within the target.
-func (pc PairedCampaign) converged(results [][]TrialResult, n int, level float64) bool {
-	for a := 0; a < len(results); a++ {
-		for b := a + 1; b < len(results); b++ {
+// trials run so far is within the target.
+func (pc PairedCampaign) converged(sinks []*ExactSink, level float64) bool {
+	for a := 0; a < len(sinks); a++ {
+		for b := a + 1; b < len(sinks); b++ {
 			var p stats.PairedSample
-			for i := 0; i < n; i++ {
-				p.Add(results[a][i].Efficiency, results[b][i].Efficiency)
+			rb := sinks[b].Results()
+			for i, r := range sinks[a].Results() {
+				p.Add(r.Efficiency, rb[i].Efficiency)
 			}
 			ci, err := p.CIDiff(level)
 			if err != nil || ci > pc.TargetCI {
@@ -257,8 +261,16 @@ func (pc PairedCampaign) converged(results [][]TrialResult, n int, level float64
 	return true
 }
 
+// gcd returns the greatest common divisor of two positive integers.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // armCampaign adapts arm a's scenario and hooks into a Campaign for the
-// range runner.
+// block runner.
 func (pc PairedCampaign) armCampaign(a int) Campaign {
 	c := Campaign{
 		Scenario: pc.Arms[a],

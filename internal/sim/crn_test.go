@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -68,7 +69,9 @@ func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 
 // Sequential batching must not change any trial: a run whose target is
 // unreachably tight (forcing it through every batch) must equal the
-// single-pass run bit for bit.
+// single-pass run bit for bit. Batch 7 runs on 1-trial blocks and batch
+// 16 on 8-trial blocks (Block = gcd(batch, DefaultBlock)), so both
+// block-alignment paths through runBlocks are covered.
 func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(12, "crn").Scenario("batch")
@@ -76,21 +79,27 @@ func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := PairedCampaign{
-		Arms: arms, Trials: 90, Seed: seed,
-		TargetCI: 1e-15, BatchSize: 7, MinTrials: 4,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.TrialsRun != 90 {
-		t.Fatalf("unreachable target stopped early at %d trials", batched.TrialsRun)
-	}
-	if !reflect.DeepEqual(onePass.Arms, batched.Arms) {
-		t.Error("batched arms differ from single-pass arms")
-	}
-	if !reflect.DeepEqual(onePass.Comparisons, batched.Comparisons) {
-		t.Error("batched comparisons differ from single-pass comparisons")
+	for _, batch := range []int{7, 16} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(t *testing.T) {
+				batched, err := PairedCampaign{
+					Arms: arms, Trials: 90, Seed: seed, Workers: workers,
+					TargetCI: 1e-15, BatchSize: batch, MinTrials: 4,
+				}.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batched.TrialsRun != 90 {
+					t.Fatalf("unreachable target stopped early at %d trials", batched.TrialsRun)
+				}
+				if !reflect.DeepEqual(onePass.Arms, batched.Arms) {
+					t.Error("batched arms differ from single-pass arms")
+				}
+				if !reflect.DeepEqual(onePass.Comparisons, batched.Comparisons) {
+					t.Error("batched comparisons differ from single-pass comparisons")
+				}
+			})
+		}
 	}
 }
 
@@ -263,30 +272,5 @@ func TestPairedCampaignValidation(t *testing.T) {
 	}
 	if _, err := (PairedCampaign{Arms: arms[:2], Trials: 10, Seed: seed, Workers: -1}).Run(); err == nil {
 		t.Error("negative workers accepted")
-	}
-}
-
-// Campaign.runRange must make a split run reproduce the full run's
-// trials exactly (the contract the sequential batches rely on).
-func TestRunRangeSplitMatchesFullRun(t *testing.T) {
-	camp := goldenD7Campaign(t)
-	full, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	L := camp.Scenario.System.NumLevels()
-	results := make([]TrialResult, camp.Trials)
-	failBuf := make([]int, camp.Trials*L)
-	for _, cut := range []int{1, 37, 100, 199} {
-		if err := camp.runRange(0, results[:cut], failBuf[:cut*L]); err != nil {
-			t.Fatal(err)
-		}
-		if err := camp.runRange(cut, results[cut:], failBuf[cut*L:]); err != nil {
-			t.Fatal(err)
-		}
-		split := camp.aggregate(results)
-		if !reflect.DeepEqual(full, split) {
-			t.Fatalf("split at %d differs from full run", cut)
-		}
 	}
 }

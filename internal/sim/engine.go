@@ -6,17 +6,69 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/dist"
-	"repro/internal/eventq"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 )
 
-// Event-queue kinds used by the engine.
+// Next-event table slots: the phase end, the background flush, then
+// one arrival per severity (slot 1+s for severity s).
 const (
-	evqPhaseEnd = iota
-	evqFailure
-	evqFlushEnd
+	slotPhase = 0
+	slotFlush = 1
 )
+
+// pendingEvent is one next-event table entry.
+type pendingEvent struct {
+	time  float64
+	seq   uint64 // scheduling order: FIFO tie-break among equal times
+	armed bool
+}
+
+// eventTable is the engine's pending-event set. A trial never has more
+// than one phase end, one flush and one arrival per severity pending,
+// so each source owns a fixed slot: next scans the L+2 slots for the
+// minimum (time, seq), and cancelling a slot clears its armed flag.
+type eventTable struct {
+	slots []pendingEvent
+	seq   uint64
+}
+
+// schedule arms slot at time t, replacing any event pending there.
+func (q *eventTable) schedule(slot int, t float64) {
+	q.slots[slot] = pendingEvent{time: t, seq: q.seq, armed: true}
+	q.seq++
+}
+
+// disarm cancels the event pending in slot, if any.
+func (q *eventTable) disarm(slot int) { q.slots[slot].armed = false }
+
+// next disarms and returns the earliest pending event: equal times pop
+// in scheduling order. ok is false when nothing is armed.
+func (q *eventTable) next() (slot int, t float64, ok bool) {
+	slot = -1
+	for i := range q.slots {
+		s := &q.slots[i]
+		if !s.armed {
+			continue
+		}
+		if slot < 0 || s.time < t || (s.time == t && s.seq < q.slots[slot].seq) {
+			slot, t = i, s.time
+		}
+	}
+	if slot < 0 {
+		return -1, 0, false
+	}
+	q.slots[slot].armed = false
+	return slot, t, true
+}
+
+// reset disarms every slot.
+func (q *eventTable) reset() {
+	for i := range q.slots {
+		q.slots[i].armed = false
+	}
+	q.seq = 0
+}
 
 // store holds one committed checkpoint.
 type store struct {
@@ -27,7 +79,7 @@ type store struct {
 
 // Engine executes trials of one scenario. It is built once (per worker
 // goroutine, typically), validated once, and then reused for any number
-// of trials: the event queue, failure-law table, checkpoint stores,
+// of trials: the next-event table, failure-law table, checkpoint stores,
 // failure counters and RNG state are recycled between trials, so the
 // per-trial hot path performs no heap allocations. An Engine is not
 // safe for concurrent use; run one per goroutine.
@@ -53,8 +105,7 @@ type Engine struct {
 	controller PlanController
 	err        error // fatal mid-run error (invalid controller plan)
 
-	queue       eventq.Queue
-	phaseHandle eventq.Handle
+	events eventTable
 
 	now        float64
 	done       float64 // current useful progress (state the next checkpoint would commit)
@@ -65,10 +116,8 @@ type Engine struct {
 	phaseLevel int // 1-based system level for checkpoint/restart phases
 	restartIdx int // used-level index being read during PhaseRestart
 
-	asyncCapture bool          // current checkpoint phase is an async capture
-	flushPending bool          // a background top-level flush is in flight
-	flushHandle  eventq.Handle // cancellation handle for the flush
-	flushStore   store         // state the in-flight flush will commit
+	asyncCapture bool  // current checkpoint phase is an async capture
+	flushStore   store // state the flush armed in slotFlush will commit
 
 	failures []int // per-severity counters, reused across trials
 	res      TrialResult
@@ -103,6 +152,7 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		factor = DefaultMaxWallFactor
 	}
 	e.maxWall = factor * sys.BaselineTime
+	e.events.slots = make([]pendingEvent, L+2)
 	e.failures = make([]int, L)
 	e.stores = make([]store, 0, scn.Plan.NumUsed())
 	return e, nil
@@ -167,13 +217,11 @@ func RunTrial(scn Scenario, r *rand.Rand) (TrialResult, error) {
 // must leave the engine in exactly the state a freshly-built engine
 // would start a trial in.
 func (e *Engine) reset() {
-	e.queue.Reset()
-	e.phaseHandle = eventq.Handle{}
-	e.flushHandle = eventq.Handle{}
+	e.events.reset()
 	e.now, e.done = 0, 0
 	e.pos = 0
 	e.phase, e.phaseStart, e.phaseLevel, e.restartIdx = 0, 0, 0, 0
-	e.asyncCapture, e.flushPending = false, false
+	e.asyncCapture = false
 	e.flushStore = store{}
 	e.err = nil
 	e.plan = e.scn.Plan
@@ -217,7 +265,7 @@ func (e *Engine) armFailure(sev int) {
 	if law == nil {
 		return
 	}
-	e.queue.Schedule(e.now+law.Sample(e.rng), evqFailure, sev)
+	e.events.schedule(slotFlush+sev, e.now+law.Sample(e.rng))
 }
 
 func (e *Engine) observe(kind EventKind, level int) {
@@ -234,7 +282,7 @@ func (e *Engine) startPhase(p Phase, level int, duration float64) {
 	e.phase = p
 	e.phaseLevel = level
 	e.phaseStart = e.now
-	e.phaseHandle = e.queue.Schedule(e.now+duration, evqPhaseEnd, 0)
+	e.events.schedule(slotPhase, e.now+duration)
 	e.observe(EvPhaseStart, level)
 }
 
@@ -250,14 +298,14 @@ func (e *Engine) startCompute() {
 // run drives the event loop until completion or the wall-time cap.
 func (e *Engine) run() {
 	for {
-		ev, err := e.queue.Pop()
-		if err != nil {
-			// No pending events can only mean all severities are
-			// failure-free and a phase is always pending; treat
-			// defensively as completion of whatever progress exists.
+		slot, t, ok := e.events.next()
+		if !ok {
+			// A phase is always pending, so an empty table cannot
+			// happen; treat it defensively as completion of whatever
+			// progress exists.
 			break
 		}
-		e.now = ev.Time
+		e.now = t
 		if e.now >= e.maxWall {
 			e.now = e.maxWall
 			e.chargePartialPhase()
@@ -265,18 +313,17 @@ func (e *Engine) run() {
 			e.observe(EvCapped, 0)
 			return
 		}
-		switch ev.Kind {
-		case evqPhaseEnd:
+		switch slot {
+		case slotPhase:
 			if e.phaseEnd() {
 				e.finish(true)
 				e.observe(EvComplete, 0)
 				return
 			}
-		case evqFlushEnd:
-			e.flushPending = false
+		case slotFlush:
 			e.stores[e.plan.NumUsed()-1] = e.flushStore
-		case evqFailure:
-			sev := ev.Data
+		default:
+			sev := slot - slotFlush
 			e.res.Failures[sev-1]++
 			e.observe(EvFailure, sev)
 			if e.controller != nil {
@@ -324,13 +371,9 @@ func (e *Engine) phaseEnd() bool {
 			// Commit only up to the capture level now; the top level
 			// commits when the background flush completes.
 			commitLevel = plan.Levels[plan.NumUsed()-2]
-			if e.flushPending {
-				e.queue.Cancel(e.flushHandle) // newer data supersedes
-			}
+			// Newer data supersedes any flush still in flight.
 			e.flushStore = store{valid: true, progress: e.done, pos: next}
-			e.flushHandle = e.queue.Schedule(
-				e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint, evqFlushEnd, 0)
-			e.flushPending = true
+			e.events.schedule(slotFlush, e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint)
 			e.asyncCapture = false
 		}
 		// Commit to every used level at or below the committed level.
@@ -390,13 +433,10 @@ func (e *Engine) rollbackTo(st store) {
 
 // failure handles a severity-s arrival.
 func (e *Engine) failure(sev int) {
-	e.queue.Cancel(e.phaseHandle)
+	e.events.disarm(slotPhase)
 	e.chargePartialPhase()
-	if e.flushPending {
-		// The in-flight background flush loses its source data.
-		e.queue.Cancel(e.flushHandle)
-		e.flushPending = false
-	}
+	// An in-flight background flush loses its source data.
+	e.events.disarm(slotFlush)
 
 	// The failure destroys checkpoint data at levels below its
 	// severity.
@@ -491,11 +531,8 @@ func (e *Engine) switchPlan(p pattern.Plan) error {
 	if err := p.Validate(e.scn.System); err != nil {
 		return fmt.Errorf("sim: controller produced invalid plan: %w", err)
 	}
-	if e.flushPending {
-		// The in-flight flush belongs to the old plan's level layout.
-		e.queue.Cancel(e.flushHandle)
-		e.flushPending = false
-	}
+	// An in-flight flush belongs to the old plan's level layout.
+	e.events.disarm(slotFlush)
 	// Remap stores: keep the best committed progress per new used
 	// level (a new level set may drop or add levels; a dropped level's
 	// checkpoint data still exists, but the protocol will no longer

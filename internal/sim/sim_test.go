@@ -490,6 +490,32 @@ func TestAsyncFlushAbortedByQuickFailure(t *testing.T) {
 	}
 }
 
+func TestFailureAtFlushDeadlineAbortsFlush(t *testing.T) {
+	// A severity-2 arrival at exactly the first flush's deadline was
+	// scheduled before the flush (at trial start), so the FIFO
+	// tie-break pops it first: it aborts the flush, no top-level
+	// checkpoint exists, and the recovery restarts from scratch. The
+	// conformance checker's resolveFlush assumes this rule.
+	sys := twoLevel(1e15, 100)
+	plan := planBoth(10, 0) // every checkpoint is an async top-level one
+	deadline := (plan.Tau0 + sys.Levels[0].Checkpoint) + sys.Levels[1].Checkpoint
+	ctl := &scriptedFailures{times: []float64{deadline}, severities: []int{2}}
+	cfg := Scenario{
+		System: sys, Plan: plan, AsyncTopFlush: true,
+		FailureLaws: ctl.laws(sys),
+	}
+	res, err := RunTrial(cfg, seed("async-tie").Trial(0).Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures[1] != 1 {
+		t.Fatalf("failures = %v, want one severity-2 arrival", res.Failures)
+	}
+	if res.ScratchRestarts != 1 {
+		t.Fatalf("ScratchRestarts = %d, want 1: the flush committed before the tied failure", res.ScratchRestarts)
+	}
+}
+
 func TestAsyncBeatsSyncOnPFSHeavySystem(t *testing.T) {
 	sys := twoLevel(15, 720)
 	sys.Levels[1].Checkpoint = 10
