@@ -26,6 +26,14 @@
 // levels): the expected time A_k to advance from segment k to k+1
 // satisfies a linear relation involving only the prefix sums of earlier
 // A_m, because every failure path re-enters segment k exactly once.
+//
+// So A_k depends only on segments 0..k and the failure model. A reused
+// Solver exploits that invariant: it resumes each solve at the first
+// segment where the chain differs from the one it solved last, and
+// re-solves the recoveries only when the failure model changes. The
+// optimizer's sweep enumerates count vectors in odometer order, so
+// consecutive candidates share most of their period. Results are bitwise
+// identical to a fresh solve.
 package markov
 
 import (
@@ -126,26 +134,48 @@ func (c *Chain) validate() (float64, error) {
 	return total, nil
 }
 
-// Solver holds reusable scratch for chain evaluations. A zero Solver is
-// ready to use; passing the same Solver to many ExpectedPeriodTimeWith
-// calls makes the steady-state evaluation allocation-free and caches the
-// per-duration exponentials within each call (pattern periods repeat a
-// handful of distinct segment durations — τ0 and one checkpoint cost per
-// level — so the expensive exp/expm1 calls collapse from O(segments) to
-// O(distinct durations)). A Solver must not be shared between goroutines.
+// Solver holds reusable scratch for chain evaluations and resumes each
+// evaluation from the previous one. A zero Solver is ready to use; a
+// Solver must not be shared between goroutines.
+//
+// Passing the same Solver to many ExpectedPeriodTimeWith calls makes the
+// steady-state evaluation allocation-free and caches the per-duration
+// exponentials (pattern periods repeat a handful of distinct segment
+// durations — τ0 and one checkpoint cost per level — so the expensive
+// exp/expm1 calls collapse from O(segments) to O(distinct durations)).
+//
+// It also remembers the last chain it solved. The first-passage time A_k
+// depends only on segments 0..k (plus the failure model), so when the
+// next chain shares its first j segments with the last one, prefix[0..j]
+// and the resume-position rows 0..j are still exact and the forward
+// sweep restarts at segment j. The recovery solve depends only on Rates,
+// RestartTime and Policy and is redone only when one of them changes.
+// Every reused value is the value a fresh solve would recompute from
+// bit-identical inputs, so results are bitwise identical to a fresh
+// Solver's.
 type Solver struct {
-	prefix     []float64
-	posByLevel []int
-	last       []int
+	prefix     []float64 // prefix[k] = Σ_{m<k} A_m of segs
+	posByLevel []int     // (len(segs)+1) rows of L resume positions
 	rec        []recovery
 	absorb     []float64 // backing array for the recovery absorb rows
 
-	// Per-call duration → (survival, truncated-expectation) cache.
+	// The chain the scratch above describes: its segments, the failure
+	// model rec is solved for (a zero Solver's empty rates match no
+	// valid chain), and how far its sweep got — prefix[0..swept] is
+	// exact, which is short of len(segs) when the sweep stopped at an
+	// impossible segment.
+	segs           []Segment
+	rates, restart []float64
+	policy         RecoveryPolicy
+	swept          int
+
+	// Duration → (survival, truncated-expectation) cache, valid for
+	// the failure model above.
 	durs, durQ, durPartial []float64
 }
 
-// expDurCacheMax bounds the duration cache's linear scan; chains with
-// more distinct durations fall back to direct computation.
+// expDurCacheMax bounds the duration cache's linear scan; a full cache
+// is emptied before the next new duration goes in.
 const expDurCacheMax = 16
 
 // expFor returns exp(-lambda·d) and TruncExp(d, lambda), serving repeats
@@ -158,24 +188,46 @@ func (s *Solver) expFor(d, lambda float64) (q, partial float64) {
 	}
 	q = math.Exp(-lambda * d)
 	partial = dist.TruncExp(d, lambda)
-	if len(s.durs) < expDurCacheMax {
-		s.durs = append(s.durs, d)
-		s.durQ = append(s.durQ, q)
-		s.durPartial = append(s.durPartial, partial)
+	if len(s.durs) == expDurCacheMax {
+		s.durs, s.durQ, s.durPartial = s.durs[:0], s.durQ[:0], s.durPartial[:0]
 	}
+	s.durs = append(s.durs, d)
+	s.durQ = append(s.durQ, q)
+	s.durPartial = append(s.durPartial, partial)
 	return q, partial
 }
 
+// sameFailureModel reports whether rec was solved for c's Rates,
+// RestartTime and Policy, compared bit for bit.
+func (s *Solver) sameFailureModel(c *Chain) bool {
+	return s.policy == c.Policy &&
+		sameBits(s.rates, c.Rates) && sameBits(s.restart, c.RestartTime)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// growFloats returns s resized to n, keeping its contents.
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return append(s[:cap(s)], make([]float64, n-cap(s))...)
 	}
 	return s[:n]
 }
 
+// growInts returns s resized to n, keeping its contents.
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		return append(s[:cap(s)], make([]int, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -191,7 +243,11 @@ func (c *Chain) ExpectedPeriodTime() (float64, error) {
 // ExpectedPeriodTimeWith is ExpectedPeriodTime evaluating into the
 // solver's scratch buffers (nil falls back to a private solver). Hot
 // loops — the brute-force interval sweep — keep one Solver per goroutine
-// and pay no allocation per chain.
+// and pay no allocation per chain. The solve resumes at the first
+// segment where c differs from the solver's previous chain (never past
+// the segment where that chain's sweep stopped on +Inf), and reuses the
+// recoveries when the failure model is unchanged; the result is bitwise
+// identical to a fresh Solver's.
 func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	lambda, err := c.validate()
 	if err != nil {
@@ -208,55 +264,71 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	if s == nil {
 		s = &Solver{}
 	}
-	s.durs = s.durs[:0]
-	s.durQ = s.durQ[:0]
-	s.durPartial = s.durPartial[:0]
 
 	L := len(c.Rates)
-	rec := c.recoveriesInto(s, lambda)
+	if !s.sameFailureModel(c) {
+		// Everything cached was solved under the old failure model
+		// (and possibly another level count): start over.
+		s.rates = append(s.rates[:0], c.Rates...)
+		s.restart = append(s.restart[:0], c.RestartTime...)
+		s.policy = c.Policy
+		s.durs, s.durQ, s.durPartial = s.durs[:0], s.durQ[:0], s.durPartial[:0]
+		s.segs = s.segs[:0]
+		c.recoveriesInto(s, lambda)
+	}
+	rec := s.rec
+
+	// j = length of the prefix shared with the previous chain.
+	n := len(c.Segments)
+	j := 0
+	for j < n && j < len(s.segs) && c.Segments[j] == s.segs[j] {
+		j++
+	}
+	s.segs = append(s.segs[:j], c.Segments[j:]...)
 
 	// posByLevel[k*L + (u-1)] = resume segment index after a recovery
 	// from a level-u checkpoint when the failure struck segment k: the
 	// segment after the latest committed checkpoint of level >= u
-	// strictly before k, or 0 (period start).
-	n := len(c.Segments)
-	posByLevel := growInts(s.posByLevel, n*L)
+	// strictly before k, or 0 (period start). Row k depends only on
+	// segments 0..k-1, so rows 0..j carry over.
+	posByLevel := growInts(s.posByLevel, (n+1)*L)
 	s.posByLevel = posByLevel
-	last := growInts(s.last, L) // last[u-1] = resume position for level u so far
-	s.last = last
-	for u := range last {
-		last[u] = 0
-	}
-	for k := 0; k < n; k++ {
-		copy(posByLevel[k*L:(k+1)*L], last)
+	clear(posByLevel[:L])
+	for k := j; k < n; k++ {
+		row := posByLevel[(k+1)*L : (k+2)*L]
+		copy(row, posByLevel[k*L:(k+1)*L])
 		if s := c.Segments[k]; s.Kind == Checkpoint {
 			for u := 1; u <= s.Level; u++ {
-				last[u-1] = k + 1
+				row[u-1] = k + 1
 			}
 		}
 	}
 
-	// Forward first-passage sweep.
+	// Forward first-passage sweep, resumed where the previous chain's
+	// exact prefix ends.
 	prefix := growFloats(s.prefix, n+1) // prefix[k] = Σ_{m<k} A_m
 	s.prefix = prefix
 	prefix[0] = 0
-	for k := 0; k < n; k++ {
+	start := min(j, s.swept)
+	for k := start; k < n; k++ {
 		d := c.Segments[k].Duration
 		q, partial := s.expFor(d, lambda)
 		if q == 0 {
+			s.swept = k
 			return math.Inf(1), nil
 		}
 		pf := 1 - q
 
 		acc := q*d + pf*partial
-		for s := 1; s <= L; s++ {
-			ps := pf * c.Rates[s-1] / lambda
+		for sev := 1; sev <= L; sev++ {
+			ps := pf * c.Rates[sev-1] / lambda
 			if ps == 0 {
 				continue
 			}
-			r0 := s // recovery starts at the lowest level >= severity = s itself
+			r0 := sev // recovery starts at the lowest level >= severity = sev itself
 			rc := rec[r0-1]
 			if math.IsInf(rc.time, 1) {
+				s.swept = k
 				return math.Inf(1), nil
 			}
 			acc += ps * rc.time
@@ -269,6 +341,7 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 		ak := acc / q
 		prefix[k+1] = prefix[k] + ak
 	}
+	s.swept = n
 	return prefix[n], nil
 }
 

@@ -2,6 +2,7 @@ package moody
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/dauwe"
 	"repro/internal/obs"
+	"repro/internal/optimize"
 	"repro/internal/pattern"
 	"repro/internal/system"
 )
@@ -213,6 +215,76 @@ func TestSweepObjectiveMatchesPeriodEfficiency(t *testing.T) {
 		}
 		if reg.Snapshot().Counter("opt_moody_shape_memo_hits_total") == 0 {
 			t.Fatalf("%s: repeated count vector did not hit the shape memo", sys.Name)
+		}
+	}
+}
+
+// TestSweepObjectiveResumeMatchesPeriodEfficiency walks whole odometer
+// cells through one sweep objective, as a sweep worker does — so its
+// solver resumes each chain from the previous candidate's — and checks
+// every candidate bit for bit against a fresh 1/PeriodEfficiency. A
+// pseudo-random subset is skipped, as pruning skips candidates, so the
+// solver also resumes across gaps, and now and then a candidate repeats.
+// The last τ0 is so long that every chain is impossible (+Inf).
+func TestSweepObjectiveResumeMatchesPeriodEfficiency(t *testing.T) {
+	for _, name := range []string{"B", "M"} {
+		sys, err := system.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := newSweepObjective(sys, obs.NewRegistry())
+		levels := pattern.AllLevels(sys)
+		vals := optimize.DefaultCounts()
+		src := rand.New(rand.NewPCG(7, uint64(len(name))))
+		counts := make([]int, len(levels)-1)
+		idx := make([]int, len(counts))
+		for _, tau0 := range []float64{0.9, 45, 800 * sys.MTBF} {
+			var checked, infs int
+			clear(idx)
+			for {
+				intervals := 1
+				for i := range counts {
+					counts[i] = vals[idx[i]]
+					intervals *= counts[i] + 1
+				}
+				if intervals <= New().MaxPeriodIntervals && src.IntN(4) != 0 {
+					p := pattern.Plan{Tau0: tau0, Counts: counts, Levels: levels}
+					eff, err := PeriodEfficiency(sys, p)
+					// Now and then the same candidate comes twice in a
+					// row, so the whole chain is a shared prefix.
+					for again := true; again; again = src.IntN(8) == 0 {
+						got, ok := obj(p)
+						switch {
+						case err != nil || !(eff > 0):
+							if ok {
+								t.Fatalf("%s %v: objective ok=true but PeriodEfficiency err=%v eff=%v", name, p, err, eff)
+							}
+						case !ok || math.Float64bits(got) != math.Float64bits(1/eff):
+							t.Fatalf("%s %v: objective = %v ok=%v, want exactly %v", name, p, got, ok, 1/eff)
+						}
+					}
+					if err != nil || !(eff > 0) {
+						infs++
+					}
+					checked++
+				}
+				i := len(idx) - 1
+				for ; i >= 0; i-- {
+					if idx[i]++; idx[i] < len(vals) {
+						break
+					}
+					idx[i] = 0
+				}
+				if i < 0 {
+					break
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s τ0=%v: no candidate checked", name, tau0)
+			}
+			if wantInf := tau0 > 1e4; (infs == checked) != wantInf {
+				t.Fatalf("%s τ0=%v: %d of %d candidates impossible", name, tau0, infs, checked)
+			}
 		}
 	}
 }

@@ -261,11 +261,13 @@ func (w *sweepWorker) candidate(counts []int) {
 	}
 	w.time = t
 	w.found = true
-	w.plan = pattern.Plan{
-		Tau0:   plan.Tau0,
-		Counts: append(w.plan.Counts[:0], counts...),
-		Levels: plan.Levels,
+	// A zero-length vector is stored as nil whatever this worker found
+	// before, so the result does not depend on the schedule.
+	var best []int
+	if len(counts) > 0 {
+		best = append(w.plan.Counts[:0], counts...)
 	}
+	w.plan = pattern.Plan{Tau0: plan.Tau0, Counts: best, Levels: plan.Levels}
 	w.bound.lower(t)
 }
 

@@ -312,6 +312,47 @@ func TestSweepTieBreakIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepZeroLengthCountsIndependentOfWorkers: the optimum lies in
+// level set {1}, whose count vector has length zero. With one worker the
+// winning cell comes after a {1,2} improvement that left a count vector
+// in the worker's best; with four, a barrier makes each worker take
+// exactly one cell, so the winner's worker never held one. Both must
+// report the same nil Counts.
+func TestSweepZeroLengthCountsIndependentOfWorkers(t *testing.T) {
+	values := map[float64][2]float64{ // τ0 → objective for {1}, {1,2}
+		1: {10, 5},
+		2: {1, 7},
+	}
+	space := Space{
+		Tau0:      []float64{1, 2},
+		CountVals: []int{3},
+		LevelSets: [][]int{{1}, {1, 2}},
+	}
+	var results []Result
+	for _, workers := range []int{1, 4} {
+		space.Workers = workers
+		var barrier sync.WaitGroup
+		barrier.Add(workers)
+		res, err := SweepObjectives(space, func(int, *obs.Registry) Objective {
+			var once sync.Once
+			return func(p pattern.Plan) (float64, bool) {
+				once.Do(func() { barrier.Done(); barrier.Wait() })
+				return values[p.Tau0][len(p.Levels)-1], true
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("workers=1 result %#v differs from workers=4 result %#v", results[0], results[1])
+	}
+	if p := results[0].Plan; p.Tau0 != 2 || len(p.Levels) != 1 || p.Counts != nil {
+		t.Fatalf("plan %#v, want τ0 2, levels [1], nil counts", p)
+	}
+}
+
 func TestPlanLess(t *testing.T) {
 	base := pattern.Plan{Tau0: 2, Levels: []int{1, 2}, Counts: []int{3}}
 	cases := []struct {

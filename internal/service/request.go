@@ -167,7 +167,7 @@ type SimulateResponse struct {
 	Seed      uint64   `json:"seed"`
 	// Predicted is the technique's model prediction for the plan
 	// (omitted when the model cannot evaluate it, e.g. a level count
-	// beyond the model's domain).
+	// beyond the model's domain, or predicts a non-finite result).
 	Predicted *PredictionJSON `json:"predicted,omitempty"`
 	// Efficiency/WallTimeMinutes summarize the campaign.
 	Efficiency      SummaryJSON `json:"efficiency"`
@@ -453,8 +453,8 @@ func (sp *planSpec) parsePlan(pj *PlanJSON) (pattern.Plan, *apiError) {
 		return pattern.Plan{}, badRequest("plan has more than %d levels", maxLevels)
 	}
 	for i, n := range pj.Counts {
-		if n < 1 || n > maxCountVal {
-			return pattern.Plan{}, badRequest("plan.counts[%d] = %d outside [1, %d]", i, n, maxCountVal)
+		if n < 0 || n > maxCountVal {
+			return pattern.Plan{}, badRequest("plan.counts[%d] = %d outside [0, %d]", i, n, maxCountVal)
 		}
 	}
 	p := pattern.Plan{

@@ -656,9 +656,11 @@ func (s *Server) computeSimulate(ctx context.Context, c *call, sp *planSpec, pla
 	s.cfg.Events.Event("sim_start", "digest", key, "system", sp.sys.Name, "technique", sp.technique, "trials", trials)
 	c.total.Store(int64(trials))
 
+	// JSON cannot carry ±Inf or NaN, so a non-finite prediction is
+	// omitted like one the model refuses.
 	var predicted *PredictionJSON
 	if tech, err := model.New(sp.technique); err == nil {
-		if pred, perr := tech.Predict(sp.sys, plan); perr == nil {
+		if pred, perr := tech.Predict(sp.sys, plan); perr == nil && isFinite(pred.ExpectedTime) && isFinite(pred.Efficiency) {
 			predicted = &PredictionJSON{ExpectedMinutes: pred.ExpectedTime, Efficiency: pred.Efficiency}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -462,6 +463,58 @@ func TestSimulateStream(t *testing.T) {
 	}
 	if !bytes.Equal([]byte(last.Result), compact.Bytes()) {
 		t.Errorf("streamed result differs from cached body:\n%s\nvs\n%s", last.Result, compact.Bytes())
+	}
+}
+
+// TestSimulateOmitsNonFinitePrediction replays the "predict
+// non-finite" probe of TestRequestValidation on /v1/simulate: Moody's
+// prediction for the plan is +Inf, which JSON cannot carry, so the
+// campaign result must come back without a predicted field.
+func TestSimulateOmitsNonFinitePrediction(t *testing.T) {
+	h := newTestServer(t, Config{})
+	code, _, body := h.post(t, "/v1/simulate",
+		`{"system":"B","mtbf_minutes":5,"pfs_minutes":40,"baseline_minutes":10,"technique":"moody","plan":{"tau0_minutes":1000,"counts":[1,1,1],"levels":[1,2,3,4]},"trials":2}`)
+	if code != http.StatusOK {
+		t.Fatalf("code = %d body=%s, want 200", code, body)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if p, ok := fields["predicted"]; ok {
+		t.Errorf("predicted = %s, want the field omitted", p)
+	}
+	if string(fields["completed"]) != "2" {
+		t.Errorf("completed = %s, want 2", fields["completed"])
+	}
+}
+
+// TestServedZeroCountPlanReplays: the optimizer may choose N_i = 0, so
+// a plan /v1/plan served must be accepted back by /v1/predict and
+// /v1/simulate.
+func TestServedZeroCountPlanReplays(t *testing.T) {
+	h := newTestServer(t, Config{})
+	const req = `"system":"M","technique":"moody"`
+	code, _, body := h.post(t, "/v1/plan", "{"+req+"}")
+	if code != http.StatusOK {
+		t.Fatalf("plan code = %d body=%s", code, body)
+	}
+	var resp PlanResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !slices.Contains(resp.Plan.Counts, 0) {
+		t.Fatalf("served plan %+v has no zero count", resp.Plan)
+	}
+	plan, err := json.Marshal(resp.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, extra := range map[string]string{"/v1/predict": "", "/v1/simulate": `,"trials":2`} {
+		code, _, body := h.post(t, path, fmt.Sprintf(`{%s,"plan":%s%s}`, req, plan, extra))
+		if code != http.StatusOK {
+			t.Errorf("%s: code = %d body=%s, want 200", path, code, body)
+		}
 	}
 }
 
